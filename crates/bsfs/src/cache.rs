@@ -8,8 +8,13 @@
 //!
 //! Two small, single-owner helpers implement exactly that:
 //!
-//! * [`ReadCache`] — holds up to `capacity` most-recently-used whole blocks;
-//!   a miss triggers a whole-block fetch through the supplied loader.
+//! * [`ReadCache`] — holds up to `capacity` most-recently-used whole blocks.
+//!   Misses are fetched a run at a time: each maximal run of consecutive
+//!   blocks a request misses is one loader call, so BSFS turns it into one
+//!   BlobSeer read (one metadata descent, one coalesced transfer per
+//!   provider) instead of one per block. Loads stay whole blocks, and the
+//!   blocks kept are copied out of the run, so a large read never stays
+//!   pinned by a small cache.
 //! * [`WriteBuffer`] — accumulates sequential writes and hands back a full
 //!   block every time one fills up; the owner commits it as a single
 //!   BlobSeer append.
@@ -66,9 +71,15 @@ impl ReadCache {
         self.stats
     }
 
-    /// Read `len` bytes at `offset` of a file of `file_size` bytes, loading
-    /// whole blocks through `load` on misses. `load(block_index, block_len)`
-    /// must return exactly `block_len` bytes.
+    /// Read `len` bytes at `offset` of a file of `file_size` bytes.
+    ///
+    /// Every maximal run of consecutive blocks the cache does not hold when
+    /// the request starts is loaded with one call `load(first_block,
+    /// run_bytes)`, which must return exactly the `run_bytes` bytes of the
+    /// file starting at `first_block * block_size`. A cached block shorter
+    /// than the block's current length (the file grew past a cached partial
+    /// tail) is a miss. Afterwards the cache holds the same blocks as if the
+    /// request's blocks had been read one at a time, in order.
     pub fn read<E>(
         &mut self,
         offset: u64,
@@ -80,53 +91,71 @@ impl ReadCache {
             return Ok(Bytes::new());
         }
         debug_assert!(offset + len <= file_size, "caller enforces bounds");
-        let mut out = Vec::with_capacity(len as usize);
-        let mut pos = offset;
+        let bs = self.block_size;
         let end = offset + len;
-        let mut any_miss = false;
-        while pos < end {
-            let block = pos / self.block_size;
-            let block_start = block * self.block_size;
-            let block_len = (file_size - block_start).min(self.block_size);
-            let data = match self.lookup(block) {
-                Some(b) => b,
-                None => {
-                    any_miss = true;
-                    let loaded = load(block, block_len)?;
-                    debug_assert_eq!(loaded.len() as u64, block_len);
-                    self.stats.blocks_loaded += 1;
-                    self.stats.bytes_loaded += loaded.len() as u64;
-                    self.insert(block, loaded.clone());
-                    loaded
+        let (first, last) = (offset / bs, (end - 1) / bs);
+        // Bytes of block `b` at the current file size.
+        let block_len = |b: u64| (file_size - b * bs).min(bs);
+        // The request's part of the `n` bytes that start at `start`.
+        let window = |start: u64, n: u64| {
+            (offset.max(start) - start) as usize..(end.min(start + n) - start) as usize
+        };
+        // Only the request's last `capacity` blocks can outlive it.
+        let keep_from = (last + 1).saturating_sub(self.capacity as u64);
+        let cached: Vec<Option<Bytes>> =
+            (first..=last).map(|b| self.peek(b, block_len(b))).collect();
+        let mut out = Vec::with_capacity(len as usize);
+        let mut block = first;
+        while block <= last {
+            let start = block * bs;
+            if let Some(data) = &cached[(block - first) as usize] {
+                out.extend_from_slice(&data[window(start, block_len(block))]);
+                if block >= keep_from {
+                    self.insert(block, data.clone());
                 }
-            };
-            let from = (pos - block_start) as usize;
-            let to = ((end.min(block_start + block_len)) - block_start) as usize;
-            out.extend_from_slice(&data[from..to]);
-            pos = block_start + to as u64;
+                block += 1;
+                continue;
+            }
+            let mut run_end = block + 1;
+            while run_end <= last && cached[(run_end - first) as usize].is_none() {
+                run_end += 1;
+            }
+            let run_bytes = (file_size - start).min((run_end - block) * bs);
+            let loaded = load(block, run_bytes)?;
+            debug_assert_eq!(loaded.len() as u64, run_bytes);
+            self.stats.blocks_loaded += run_end - block;
+            self.stats.bytes_loaded += run_bytes;
+            out.extend_from_slice(&loaded[window(start, run_bytes)]);
+            // Copy each kept block out, so the cache never pins the run.
+            for b in block.max(keep_from)..run_end {
+                let from = ((b - block) * bs) as usize;
+                let data = &loaded[from..from + block_len(b) as usize];
+                self.insert(b, Bytes::copy_from_slice(data));
+            }
+            block = run_end;
         }
-        if any_miss {
-            self.stats.misses += 1;
-        } else {
+        if cached.iter().all(Option::is_some) {
             self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
         }
         Ok(Bytes::from(out))
     }
 
-    fn lookup(&mut self, block: u64) -> Option<Bytes> {
-        if let Some(idx) = self.blocks.iter().position(|(b, _)| *b == block) {
-            // Move to the back (most recently used).
-            let entry = self.blocks.remove(idx).expect("index valid");
-            let data = entry.1.clone();
-            self.blocks.push_back(entry);
-            Some(data)
-        } else {
-            None
-        }
+    /// The cached `block`, if it holds at least `block_len` bytes.
+    fn peek(&self, block: u64, block_len: u64) -> Option<Bytes> {
+        self.blocks
+            .iter()
+            .find(|(b, data)| *b == block && data.len() as u64 >= block_len)
+            .map(|(_, data)| data.clone())
     }
 
+    /// Cache `data` as the most recently used `block`, replacing its older
+    /// copy or else evicting the least recently used block.
     fn insert(&mut self, block: u64, data: Bytes) {
-        if self.blocks.len() == self.capacity {
+        if let Some(idx) = self.blocks.iter().position(|(b, _)| *b == block) {
+            self.blocks.remove(idx);
+        } else if self.blocks.len() == self.capacity {
             self.blocks.pop_front();
         }
         self.blocks.push_back((block, data));
@@ -201,19 +230,19 @@ mod tests {
     use std::convert::Infallible;
     use std::rc::Rc;
 
-    /// A loader that serves from a backing vector and records which blocks it
-    /// was asked for.
+    /// A loader that serves from a backing vector and records the first
+    /// block of each run it was asked for.
     fn loader(
         backing: &[u8],
         block_size: u64,
         calls: Rc<RefCell<Vec<u64>>>,
     ) -> impl FnMut(u64, u64) -> Result<Bytes, Infallible> {
         let backing = backing.to_vec();
-        move |block, block_len| {
+        move |block, run_len| {
             calls.borrow_mut().push(block);
             let start = (block * block_size) as usize;
             Ok(Bytes::from(
-                backing[start..start + block_len as usize].to_vec(),
+                backing[start..start + run_len as usize].to_vec(),
             ))
         }
     }
@@ -242,14 +271,22 @@ mod tests {
     #[test]
     fn read_crossing_blocks_loads_both() {
         let data: Vec<u8> = (0..=255u8).collect();
-        let calls = Rc::new(RefCell::new(Vec::new()));
+        let mut calls = Vec::new();
         let mut cache = ReadCache::new(100, 4);
         {
-            let mut load = loader(&data, 100, Rc::clone(&calls));
+            let mut load = |block: u64, len: u64| -> Result<Bytes, Infallible> {
+                calls.push((block, len));
+                let start = (block * 100) as usize;
+                Ok(Bytes::copy_from_slice(&data[start..start + len as usize]))
+            };
             let got = cache.read(90, 20, 256, &mut load).unwrap();
             assert_eq!(&got[..], &data[90..110]);
+            // Both blocks are cached now: a re-read loads nothing.
+            let again = cache.read(90, 20, 256, &mut load).unwrap();
+            assert_eq!(&again[..], &data[90..110]);
         }
-        assert_eq!(*calls.borrow(), vec![0, 1]);
+        // One load covers the run of both missing blocks.
+        assert_eq!(calls, vec![(0, 200)]);
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //!
 //! * a **centralized namespace manager** ([`namespace::NamespaceManager`])
 //!   mapping a hierarchical file namespace onto BlobSeer blobs;
-//! * **client-side caching** ([`cache`]) — reads prefetch a whole block,
-//!   writes are buffered and committed one block at a time — so that the
+//! * **client-side caching** ([`cache`]) — reads prefetch whole blocks, each
+//!   run of missing blocks in one BlobSeer read, and writes are buffered and
+//!   committed one block at a time — so that the
 //!   4 KB-record access pattern of MapReduce applications does not translate
 //!   into millions of tiny storage operations;
 //! * a **data-layout exposure** primitive ([`Bsfs::locate`]) so the MapReduce
@@ -425,8 +426,8 @@ impl BsfsReader {
         let blob = self.blob;
         let block_size = self.cache.block_size();
         self.cache
-            .read(offset, len, size, |block, block_len| {
-                client.read_latest(blob, block * block_size, block_len)
+            .read(offset, len, size, |first_block, run_len| {
+                client.read_latest(blob, first_block * block_size, run_len)
             })
             .map_err(FsError::from)
     }
@@ -530,6 +531,20 @@ mod tests {
         // 2048/256 = 8 blocks loaded, not 64 small reads.
         assert_eq!(stats.blocks_loaded, 8);
         assert!(stats.hits > stats.misses);
+    }
+
+    #[test]
+    fn file_growing_past_a_cached_partial_tail_reads_the_new_bytes() {
+        let fs = fs();
+        fs.write_file("/grow", &[1u8; 100]).unwrap();
+        let mut r = fs.open("/grow").unwrap();
+        assert_eq!(r.read_at(0, 100).unwrap().to_vec(), vec![1u8; 100]);
+        fs.storage().client().append(r.blob, &[2u8; 100]).unwrap();
+        // Block 0 is cached with its old 100-byte length: a miss, reloaded.
+        let got = r.read_at(0, 200).unwrap();
+        assert_eq!(&got[..100], &[1u8; 100]);
+        assert_eq!(&got[100..], &[2u8; 100]);
+        assert_eq!(r.cache_stats().blocks_loaded, 2);
     }
 
     #[test]

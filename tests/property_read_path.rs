@@ -1,15 +1,20 @@
 //! Read-path correctness: the frontier-batched BFS `lookup_range` must be
 //! byte-identical to the retained node-at-a-time reference walk on arbitrary
 //! trees, the immutable-node metadata cache must never change what a reader
-//! sees (only how fast it sees it), and per-page replica failover must
-//! survive the parallel page fetch pool.
+//! sees (only how fast it sees it), per-page replica failover must survive
+//! the parallel page fetch pool, and the BSFS block cache must fetch each run
+//! of missing blocks with one BlobSeer read.
 
 use blobseer::metadata::segment_tree::{build_version, lookup_range, lookup_range_walk, PrevTree};
 use blobseer::metadata::store::MetadataStore;
 use blobseer::types::next_power_of_two;
 use blobseer::{BlobId, BlobSeer, BlobSeerConfig, BlobSeerError, ProviderId, Version};
+use bsfs::{Bsfs, BsfsConfig};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use simcluster::{ClusterTopology, NetworkModel, WallClock};
+use std::collections::{BTreeMap, HashSet, VecDeque};
+use std::sync::Arc;
+use wire::SimNet;
 
 /// Build the tree version sequence described by `writes` (one inner vec of
 /// `(page, provider)` pairs per version) and return each version's root and
@@ -181,4 +186,129 @@ fn parallel_page_fetch_fails_over_dead_replicas() {
         client.read(blob, v, 0, data.len() as u64),
         Err(BlobSeerError::PageUnavailable { .. })
     ));
+}
+
+/// An LRU model of the BSFS block cache: counts the maximal runs of blocks
+/// of `[first, last]` it does not hold, then touches those blocks in order.
+struct LruModel {
+    capacity: usize,
+    blocks: VecDeque<u64>,
+}
+
+impl LruModel {
+    fn read(&mut self, first: u64, last: u64) -> u64 {
+        let missing: Vec<bool> = (first..=last).map(|b| !self.blocks.contains(&b)).collect();
+        let runs = (0..missing.len())
+            .filter(|&i| missing[i] && (i == 0 || !missing[i - 1]))
+            .count() as u64;
+        for b in first..=last {
+            self.blocks.retain(|&x| x != b);
+            if self.blocks.len() == self.capacity {
+                self.blocks.pop_front();
+            }
+            self.blocks.push_back(b);
+        }
+        runs
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random positioned reads of a ten-block file with a partial tail,
+    /// through caches of one, two and four blocks, return the written bytes
+    /// and cost exactly one BlobSeer read per maximal run of missing blocks.
+    #[test]
+    fn block_cache_loads_each_missing_run_with_one_blobseer_read(
+        reads in prop::collection::vec((0u64..2381, 1u64..1200), 1..16),
+    ) {
+        const BLOCK: u64 = 256;
+        const SIZE: u64 = 9 * BLOCK + 77;
+        let storage = BlobSeer::new(BlobSeerConfig::for_tests().with_page_size(64));
+        let data: Vec<u8> = (0..SIZE).map(|i| (i * 31 % 251) as u8).collect();
+        for capacity in [1usize, 2, 4] {
+            let mut config = BsfsConfig::for_tests()
+                .with_block_size(BLOCK)
+                .with_page_size(64);
+            config.read_cache_blocks = capacity;
+            let fs = Bsfs::new(Arc::clone(&storage), config);
+            let path = format!("/cap-{capacity}");
+            fs.write_file(&path, &data).unwrap();
+            let mut reader = fs.open(&path).unwrap();
+            let mut model = LruModel { capacity, blocks: VecDeque::new() };
+            for &(offset, len) in &reads {
+                let len = len.min(SIZE - offset);
+                let before = storage.stats().read_ops;
+                let got = reader.read_at(offset, len).unwrap();
+                prop_assert_eq!(&got[..], &data[offset as usize..(offset + len) as usize]);
+                let runs = model.read(offset / BLOCK, (offset + len - 1) / BLOCK);
+                prop_assert_eq!(storage.stats().read_ops - before, runs);
+            }
+        }
+    }
+}
+
+/// A cold BSFS read of sixteen blocks over a SimNet deployment with eight
+/// providers is one BlobSeer read: one metadata descent (one batch per tree
+/// level) and at most one provider exchange per provider holding its pages.
+#[test]
+fn cold_multi_block_read_is_one_descent_and_one_exchange_per_provider() {
+    const PAGE: u64 = 128;
+    const BLOCK: u64 = 1024;
+    const BLOCKS: u64 = 16;
+    let topo = ClusterTopology::builder()
+        .sites(1)
+        .racks_per_site(3)
+        .nodes_per_rack(4)
+        .build();
+    let providers: Vec<_> = topo.all_nodes().take(8).collect();
+    let net = Arc::new(SimNet::new(topo.clone(), NetworkModel::grid5000_like()));
+    let sys = BlobSeer::with_transport(
+        BlobSeerConfig::for_tests()
+            .with_page_size(PAGE)
+            .with_providers(8),
+        &topo,
+        &providers,
+        Arc::new(WallClock::new()),
+        net,
+    );
+    let fs = Bsfs::new(
+        Arc::clone(&sys),
+        BsfsConfig::for_tests()
+            .with_block_size(BLOCK)
+            .with_page_size(PAGE),
+    )
+    .on_node(topo.node(8));
+    let len = BLOCKS * BLOCK;
+    let data: Vec<u8> = (0..len).map(|i| (i * 7 % 253) as u8).collect();
+    fs.write_file("/scan", &data).unwrap();
+    let holders: HashSet<_> = fs
+        .locate("/scan", 0, len)
+        .unwrap()
+        .iter()
+        .map(|l| l.nodes[0])
+        .collect();
+    sys.metadata().drop_cached_nodes();
+
+    let mut reader = fs.open("/scan").unwrap();
+    let wire_before = sys.provider_wire().snapshot();
+    let meta_before = sys.metadata().stats();
+    assert_eq!(reader.read_at(0, len).unwrap().to_vec(), data);
+    let exchanges = sys
+        .provider_wire()
+        .snapshot()
+        .since(&wire_before)
+        .read_messages;
+    let lookups = sys.metadata().stats().batch_lookups - meta_before.batch_lookups;
+
+    let depth = (len / PAGE).trailing_zeros() as u64;
+    assert!(
+        exchanges <= holders.len() as u64,
+        "{exchanges} provider exchanges for pages on {} providers",
+        holders.len()
+    );
+    assert!(
+        lookups <= depth + 1,
+        "{lookups} metadata batches for a tree of depth {depth}"
+    );
 }
